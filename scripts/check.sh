@@ -1,12 +1,20 @@
 #!/usr/bin/env bash
-# Repo check gate: collection -> tier-1 -> perf artifacts -> regression
-# guard -> static analysis -> runtime protocol sanitizer -> chaos corpus.
+# Repo check gate: collection -> tier-1 -> end-to-end benchmark contract
+# -> perf artifacts -> regression guard -> static analysis -> runtime
+# protocol sanitizer -> chaos corpus.
 #
 #   ./scripts/check.sh                 # full gate
-#   SKIP_BENCH=1 ./scripts/check.sh    # tests + static analysis (e.g. on battery)
+#   SKIP_BENCH=1 ./scripts/check.sh    # tests + benchmark contract + static analysis
 #   BENCH_GUARD_SKIP=1 ./scripts/check.sh   # record benches, skip the guard
 #
-# Step 3 runs the traversal, dynamic-maintenance, routing-serving,
+# Step 3 guards the contract between the end-to-end benchmark
+# (e2ebench/, driven by BENCHMARK.json) and src/: it runs the
+# benchmark's own unit tests, then a short traced run of every workload,
+# each of which must exit 0.  The benchmark wraps and reads program
+# methods by name (ShardActor.recompute, ActorSystem.quiesce, ...), so
+# renaming one fails here rather than in the benchmark.
+#
+# Step 4 runs the traversal, dynamic-maintenance, routing-serving,
 # parallel-serving, query-serving, observability, lint-gate,
 # fault-recovery and wire-bytes micro-benchmarks and leaves their JSON
 # artifacts at ./BENCH_traversal.json, ./BENCH_dynamic.json,
@@ -22,11 +30,11 @@
 # distserve smoke converges the actor tier on loopback and over a
 # Unix-domain socket.
 #
-# Step 4 compares the freshly recorded speedups against the artifacts
+# Step 5 compares the freshly recorded speedups against the artifacts
 # committed at HEAD with a tolerance band (scripts/bench_guard.py) and
 # fails loudly on a structural perf regression.
 #
-# Step 5 is static analysis: the repo's own AST linter runs twice —
+# Step 6 is static analysis: the repo's own AST linter runs twice —
 # per-file (`python -m repro lint`, the seqlock/RNG/shm/tuning/task/
 # exception/fault-hook invariants, see src/repro/analysis/lint/) and
 # whole-program (`python -m repro lint --deep` — the interprocedural
@@ -37,13 +45,13 @@
 # reported, not fatal), mypy blocks on the typed core subset from
 # pyproject.toml.
 #
-# Step 6 is the dynamic twin of step 5: the runtime protocol sanitizer
+# Step 7 is the dynamic twin of step 6: the runtime protocol sanitizer
 # (REPRO_SANITIZE=1, see src/repro/analysis/sanitize.py) re-runs the
 # parallel suite plus its own corpus with the seqlock/shm/snapshot hooks
 # armed in raise mode, so any protocol violation the static pass can't
 # see aborts the run instead of silently corrupting shared state.
 #
-# Step 7 re-runs the chaos corpus (tests/faults/: injected crashes,
+# Step 8 re-runs the chaos corpus (tests/faults/: injected crashes,
 # wedges, shm failures, degraded serving, reconvergence) under the same
 # sanitizer — supervisor recovery must not violate the seqlock/shm
 # protocols it is repairing.
@@ -52,14 +60,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/7] collection gate (every test module must import) =="
+echo "== [1/8] collection gate (every test module must import) =="
 python -m pytest --collect-only -q tests > /dev/null
 
-echo "== [2/7] tier-1 test suite =="
+echo "== [2/8] tier-1 test suite =="
 python -m pytest -q tests
 
+echo "== [3/8] end-to-end benchmark contract (e2ebench unit tests + traced smoke per workload) =="
+python -m pytest -q e2ebench
+smoke_log="$(mktemp)"
+for workload in churn shm_reads actors; do
+    echo "-- e2ebench smoke: $workload"
+    if ! python3 e2ebench/run.py --workload "$workload" --seconds 3 --trace 1 > "$smoke_log" 2>&1; then
+        tail -n 40 "$smoke_log"
+        rm -f "$smoke_log"
+        echo "e2ebench smoke failed: $workload"
+        exit 1
+    fi
+done
+rm -f "$smoke_log"
+
 run_static_analysis() {
-    echo "== [5/7] static analysis (reprolint shallow + deep; ruff/mypy when installed) =="
+    echo "== [6/8] static analysis (reprolint shallow + deep; ruff/mypy when installed) =="
     PYTHONPATH=src python -m repro lint src benchmarks scripts
     PYTHONPATH=src python -m repro lint --deep src benchmarks scripts
     if command -v ruff > /dev/null 2>&1; then
@@ -77,25 +99,25 @@ run_static_analysis() {
 }
 
 run_sanitizer_suite() {
-    echo "== [6/7] runtime protocol sanitizer (REPRO_SANITIZE=1 over the parallel paths) =="
+    echo "== [7/8] runtime protocol sanitizer (REPRO_SANITIZE=1 over the parallel paths) =="
     REPRO_SANITIZE=1 python -m pytest -q tests/parallel tests/analysis/test_sanitizer.py
 }
 
 run_chaos_corpus() {
-    echo "== [7/7] chaos corpus under the sanitizer (fault plans + self-healing + degraded serving) =="
+    echo "== [8/8] chaos corpus under the sanitizer (fault plans + self-healing + degraded serving) =="
     REPRO_SANITIZE=1 python -m pytest -q tests/faults
 }
 
 if [ "${SKIP_BENCH:-0}" = "1" ]; then
-    echo "== [3/7] perf benchmarks skipped (SKIP_BENCH=1) =="
-    echo "== [4/7] bench regression guard skipped (SKIP_BENCH=1) =="
+    echo "== [4/8] perf benchmarks skipped (SKIP_BENCH=1) =="
+    echo "== [5/8] bench regression guard skipped (SKIP_BENCH=1) =="
     run_static_analysis
     run_sanitizer_suite
     run_chaos_corpus
     exit 0
 fi
 
-echo "== [3/7] perf benchmarks (write BENCH_{traversal,dynamic,routing,parallel,queries,obs,lint,faults,wire}.json) =="
+echo "== [4/8] perf benchmarks (write BENCH_{traversal,dynamic,routing,parallel,queries,obs,lint,faults,wire}.json) =="
 python -m pytest -q benchmarks/test_bench_traversal.py benchmarks/test_bench_dynamic.py \
     benchmarks/test_bench_routing.py benchmarks/test_bench_parallel.py \
     benchmarks/test_bench_queries.py benchmarks/test_bench_obs.py \
@@ -216,7 +238,7 @@ print(
 )
 PYEOF
 
-echo "== [4/7] benchmark-regression guard (fresh vs committed, tolerance band) =="
+echo "== [5/8] benchmark-regression guard (fresh vs committed, tolerance band) =="
 python scripts/bench_guard.py
 
 run_static_analysis

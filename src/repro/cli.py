@@ -859,6 +859,7 @@ def _cmd_distserve(args) -> int:
                     wire.bytes,
                     wire.links,
                     sum(a.recomputes for a in system.actors),
+                    "/".join(str(a.rows_recomputed) for a in system.actors),
                     converged,
                     f"{len(pairs)}/{len(pairs)}" if routes_ok else "MISMATCH",
                 ]
@@ -876,6 +877,7 @@ def _cmd_distserve(args) -> int:
                 "bytes",
                 "links",
                 "recomputes",
+                "rows per actor",
                 "converged",
                 "routes match",
             ],

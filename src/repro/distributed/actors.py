@@ -11,12 +11,23 @@ this module serves *the maintained tables* from a tier of asyncio actors:
   deltas on the wire, never full topology (the
   :class:`~repro.distributed.wire.FullTopology` path exists as the
   cold-start bootstrap and the benchmark's naive baseline);
-* **shard actors** (``owner(u) = u % shards``) each replicate (G, H)
-  from the LSA stream but own only their shard's distance rows and
-  next-hop tables, recomputed at quiescence with the *same* primitives
-  the serial service uses (``batched_bfs`` + ``project_table_row``) — so
-  a converged actor's rows are bit-for-bit the service's rows, which the
-  convergence property suite asserts;
+* **shard actors** (``owner(u) = u % shards``) each keep in-place
+  :class:`~repro.graph.Graph` replicas of G and H, mutated edge by edge
+  from every applied LSA, and run the serial service's
+  :class:`~repro.dynamic.tablecore.TableCore` over their shard: they
+  project the tables of the nodes they own and *hold* the distance rows
+  of owned ∪ N_G(owned), the argmin inputs of those tables.  Between
+  quiescences an actor accumulates the **net** ΔH⁺/ΔH⁻, the endpoints of
+  changed G edges and the joined ids (an id-space growth) — however many
+  LSAs that spans, e.g. a muzzled actor catching up — and its
+  ``recompute()`` folds them through the core's damage analysis: only
+  dirty rows are re-BFSed (plus rows just entering the held set; rows
+  leaving it are blanked and never trusted again) and only damaged owned
+  tables re-projected.  Two triggers fall back to a full refresh of the
+  held rows: a :class:`~repro.distributed.wire.FullTopology` (bootstrap,
+  ``mode="full"``) and an update flagged ``rebuilt``.  Same inputs, same
+  code — so a converged actor's rows are bit-for-bit the service's rows,
+  which the convergence property suite asserts after every tick;
 * actors sit on a **ring overlay**: updates enter at ``seq % shards``
   and flood both directions with TTL + loop-window headers, HELLO
   beacons carry applied sequence numbers between ring neighbors
@@ -48,10 +59,10 @@ from dataclasses import replace
 import numpy as np
 
 from ..dynamic.serving import RoutingService, ServeDelta
-from ..errors import ParameterError, ProtocolError
-from ..graph import Graph, batched_bfs
+from ..dynamic.tablecore import TableCore
+from ..errors import NodeNotFound, ParameterError, ProtocolError
+from ..graph import Graph, canonical_edge
 from ..routing.greedy_routing import RouteResult
-from ..routing.tables import project_table_row
 from .transport import LoopbackTransport, Transport
 from .wire import (
     HELLO_TIMEOUT,
@@ -67,80 +78,125 @@ from .wire import (
 __all__ = ["ActorSystem", "ShardActor"]
 
 
-class ShardActor:
-    """One table shard: a (G, H) replica plus the rows it owns."""
+class ShardActor(TableCore):
+    """One table shard: in-place (G, H) replicas plus the rows it holds.
+
+    The actor runs the serial service's :class:`~repro.dynamic.tablecore.\
+TableCore` over its own shard: it projects the tables of the nodes it
+    owns (``u % shards == ident``) and holds the distance rows of owned ∪
+    N_G(owned), the argmin inputs of those tables.
+    """
+
+    # Per-actor obs counters (``actors.rows_recomputed``, ...).  No stage
+    # spans: a trace shows one actor's repair as its ``recompute`` call.
+    _obs_prefix = "actors"
+    _span_prefix = None
 
     def __init__(self, ident: int, system: "ActorSystem") -> None:
+        super().__init__(owns=(ident, system.shards))
         self.ident = ident
         self.system = system
         self.db = LsaDb()
-        self.g_edges: "set[tuple[int, int]]" = set()
-        self.h_edges: "set[tuple[int, int]]" = set()
-        self.num_nodes = 0
-        self.dist = np.empty((0, 0), dtype=np.int32)
-        self.tables = np.empty((0, 0), dtype=np.int32)
-        self._topo_version = 0
-        self._computed_version = -1
+        self.graph = Graph(0)  # replica of G
+        self.advertised = Graph(0)  # replica of H
+        # Net change since the last recompute: ΔH⁺, ΔH⁻, the endpoints of
+        # changed G edges, and whether only a full refresh will do.
+        self._h_added: "set[tuple[int, int]]" = set()
+        self._h_removed: "set[tuple[int, int]]" = set()
+        self._star: "set[int]" = set()
+        self._full = True
+        self._stale = False
         self.last_heard: "dict[int, int]" = {}  # ring peer -> last beacon round
         self.suspects: "set[int]" = set()
         self.recomputes = 0
+
+    @property
+    def num_nodes(self) -> int:
+        return self.graph.num_nodes
+
+    @property
+    def dist(self) -> "np.ndarray":
+        return self._dist
+
+    @property
+    def tables(self) -> "np.ndarray":
+        return self._tables
+
+    @property
+    def tables_reprojected(self) -> int:
+        """Tables re-argmin'd so far (the core's ``tables_recomputed``)."""
+        return self.tables_recomputed
 
     # -- replica maintenance ------------------------------------------- #
 
     def _apply_update(self, update) -> None:
         if isinstance(update, FullTopology):
-            self.num_nodes = update.num_nodes
-            self.g_edges = set(update.g_edges)
-            self.h_edges = set(update.h_edges)
+            self.graph = Graph(update.num_nodes, update.g_edges)
+            self.advertised = Graph(update.num_nodes, update.h_edges)
+            self._full = True
         else:
-            self.num_nodes = max(self.num_nodes, update.num_nodes)
-            for node in update.nodes_joined:
-                self.num_nodes = max(self.num_nodes, node + 1)
-            self.g_edges.difference_update(update.g_removed)
-            self.g_edges.update(update.g_added)
-            self.h_edges.difference_update(update.h_removed)
-            self.h_edges.update(update.h_added)
-        self._topo_version += 1
+            g, h = self.graph, self.advertised
+            n = max(update.num_nodes, *(node + 1 for node in update.nodes_joined), g.num_nodes)
+            g.add_nodes(n - g.num_nodes)
+            h.add_nodes(n - h.num_nodes)
+            for x, y in update.g_removed:
+                if g.remove_edge(x, y):
+                    self._star.update((x, y))
+            for x, y in update.g_added:
+                if g.add_edge(x, y):
+                    self._star.update((x, y))
+            added, removed = self._h_added, self._h_removed
+            for x, y in update.h_removed:
+                if h.remove_edge(x, y):
+                    e = canonical_edge(x, y)
+                    if e in added:
+                        added.remove(e)
+                    else:
+                        removed.add(e)
+            for x, y in update.h_added:
+                if h.add_edge(x, y):
+                    e = canonical_edge(x, y)
+                    if e in removed:
+                        removed.remove(e)
+                    else:
+                        added.add(e)
+            self._full |= update.rebuilt
+        self._stale = True
 
     def applied_seq(self) -> int:
         return self.db.applied_seq(self.system.driver_id)
 
     def recompute(self) -> None:
-        """Rebuild the owned rows from the replica — the serial primitives.
+        """Repair the held rows and owned tables at quiescence.
 
-        Distance rows are BFS on the replica's frozen H for the shard
-        *and its G-neighbors* (the argmin inputs); tables are
-        :func:`project_table_row` per owned source.  Bit-identical to
-        :class:`RoutingService`'s rows by construction — same inputs,
-        same code.
+        Folds the net change accumulated since the last call — however
+        many LSAs it spans — through the table core's damage analysis, so
+        only rows it marks dirty (plus rows that just entered the held
+        set) are re-BFSed and only damaged owned tables re-projected.  A
+        :class:`FullTopology` (bootstrap, ``mode="full"``) or a ``rebuilt``
+        update refreshes every held row instead.  The owned rows come out
+        bit-identical to :class:`RoutingService`'s: same inputs, same code.
         """
-        if self._computed_version == self._topo_version:
+        if not self._stale:
             return
-        n = self.num_nodes
-        g = Graph(n, self.g_edges)
-        h = Graph(n, self.h_edges)
-        own = self.system.owned_nodes(self.ident, n)
-        sources = set(own)
-        for u in own:
-            sources.update(g.neighbors(u))
-        self.dist = np.full((n, n), -1, dtype=np.int32)
-        if sources:
-            for s, row in batched_bfs(h.freeze(), sorted(sources), arrays=True):
-                self.dist[s] = row
-        self.tables = np.full((n, n), -1, dtype=np.int32)
-        for u in own:
-            project_table_row(self.dist, self.tables, sorted(g.neighbors(u)), u, None)
-        self._computed_version = self._topo_version
+        if self._full:
+            self.refresh()
+        else:
+            self._ingest(tuple(self._h_added), tuple(self._h_removed), self._star, False)
+        self._h_added.clear()
+        self._h_removed.clear()
+        self._star.clear()
+        self._full = self._stale = False
         self.recomputes += 1
 
     # -- read side (serial table semantics, owner-scoped) --------------- #
 
     def distance(self, u: int, v: int) -> "int | None":
-        d = int(self.dist[u, v])
+        d = int(self._dist[u, v])
         return d if d >= 0 else None
 
     def next_hop(self, u: int, v: int) -> "int | None":
-        hop = int(self.tables[u, v])
+        hop = int(self._tables[u, v])
         return hop if hop >= 0 else None
 
     # -- message handling ------------------------------------------------ #
@@ -408,8 +464,8 @@ class ActorSystem:
         sequence equals the feed's.  Raises
         :class:`~repro.errors.ProtocolError` at ``max_rounds`` — with
         count-capped fault plans and the anti-entropy path, a healthy
-        tier always converges well before it.  Ends by recomputing the
-        owned rows on every actor (unless ``tables=False``).
+        tier always converges well before it.  Ends by repairing the
+        held rows and owned tables on every actor (unless ``tables=False``).
         Returns the number of rounds pumped.
         """
         return self._run(self._quiesce())
@@ -487,10 +543,9 @@ class ActorSystem:
         if source == target:
             raise ParameterError("source equals target")
         n = self.service.num_nodes
-        if not (0 <= target < n):
-            from ..errors import NodeNotFound
-
-            raise NodeNotFound(target, n)
+        for node in (target, source):  # route_served's order of checks
+            if not (0 <= node < n):
+                raise NodeNotFound(node, n)
         if max_hops is None:
             max_hops = n
         return self._run(self._route(source, target, max_hops))
@@ -516,16 +571,18 @@ class ActorSystem:
     def mismatches(self) -> "list[str]":
         """Differences between the actor tier and the serial service.
 
-        Empty iff every actor's replica matches the live (G, H) and
-        every owned distance/table row is bit-identical to the service's
-        matrices — the convergence property the suite asserts.
+        Empty iff every actor's replicas equal the live (G, H), its held
+        set is owned ∪ N_G(owned), every held distance row (the rows the
+        next repair's damage analysis trusts) and every owned table row
+        is bit-identical to the service's matrices — the convergence
+        property the suite asserts.
         """
         out = []
-        g_edges = set(self.service.graph.edges())
-        h_edges = set(self.service.advertised.edges())
-        n = self.service.num_nodes
-        dist = self.service._dist
-        tabs = self.service._tables
+        service = self.service
+        g = service.graph
+        n = service.num_nodes
+        dist = service._dist
+        tabs = service._tables
         for actor in self.actors:
             if actor.ident in self._muzzled:
                 continue
@@ -533,15 +590,20 @@ class ActorSystem:
             if actor.num_nodes != n:
                 out.append(f"{tag}: num_nodes {actor.num_nodes} != {n}")
                 continue
-            if actor.g_edges != g_edges:
+            if actor.graph != g:
                 out.append(f"{tag}: G replica diverged")
-            if actor.h_edges != h_edges:
+            if actor.advertised != service.advertised:
                 out.append(f"{tag}: H replica diverged")
             if not self.tables:
                 continue
-            for u in self.owned_nodes(actor.ident, n):
-                if not np.array_equal(actor.dist[u], dist[u]):
-                    out.append(f"{tag}: distance row {u} differs")
+            owned = self.owned_nodes(actor.ident, n)
+            held = set(owned).union(*(g.neighbors(u) for u in owned))
+            if set(actor.held_rows()) != held:
+                out.append(f"{tag}: held set differs from owned ∪ N_G(owned)")
+            for w in sorted(held):
+                if not np.array_equal(actor.dist[w], dist[w]):
+                    out.append(f"{tag}: distance row {w} differs")
+            for u in owned:
                 if not np.array_equal(actor.tables[u], tabs[u]):
                     out.append(f"{tag}: table row {u} differs")
         return out

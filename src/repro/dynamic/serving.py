@@ -17,21 +17,11 @@ which a plain H-path from the minimizing neighbor already beats; and since
 ``N_H(u) ⊆ N_G(u)``, a destination H-unreachable from every G-neighbor is
 :math:`H_u`-unreachable from them too.  So **all n tables are projections
 of one object** — the n×n matrix ``D[w, v] = d_H(w, v)`` — and an event's
-table damage decomposes exactly:
-
-* **rows** of D change only for sources whose H-BFS changed.  With the
-  maintainer's net spanner delta (ΔH⁺/ΔH⁻) in hand, row *w* is provably
-  unchanged unless some removed edge was *tight* from w
-  (``|D[w,x] − D[w,y]| = 1`` — it lay on a shortest path) or some inserted
-  edge is *improving* (``|D[w,x] − D[w,y]| > 1`` with unreachable = ∞ — it
-  shortcuts).  One vectorized scan over the old matrix finds the dirty
-  rows; one batched BFS on the new frozen H recomputes exactly those.
-* **tables** change only for sources with a dirty-row neighbor (their
-  argmin inputs moved) or whose G-star itself changed (event endpoints,
-  leavers and their former neighbors, joiners) — and within a table, only
-  at destinations whose neighbor-row entries actually changed (the
-  accumulated changed-column mask), recomputed by a masked vectorized
-  argmin.
+table damage decomposes exactly into the rows of D whose H-BFS changed and
+the tables with a changed neighbor row or a changed G-star.  That repair
+pipeline (damage analysis, dirty-row BFS, changed-column tracking, masked
+projection) is :class:`~repro.dynamic.tablecore.TableCore`, which this
+service runs with every row held and every table projected.
 
 :class:`RoutingService` owns a :class:`~repro.dynamic.maintainer.\
 SpannerMaintainer` and applies events singly (:meth:`RoutingService.apply`)
@@ -43,11 +33,12 @@ property suite in ``tests/dynamic/test_serving.py`` asserts exactly this,
 entry for entry, across edge *and* node churn.
 
 The three inner stages — matrix (re)sizing, distance-row recompute, table
-projection — are overridable hooks (:meth:`_resize_matrices`,
-:meth:`_recompute_rows`, :meth:`_project_tables`): the multiprocess
+projection — are the core's overridable hooks: the multiprocess
 :class:`~repro.parallel.sharded.ShardedRoutingService` reuses every damage
--tracking decision here and swaps only those stages for shared-memory
-fan-outs, which is what keeps it bit-identical by construction.
+-tracking decision and swaps only those stages for shared-memory fan-outs,
+which is what keeps it bit-identical by construction; the actor tier's
+:class:`~repro.distributed.actors.ShardActor` runs the same core over its
+shard's rows.
 
 Long-horizon memory control: joins grow the id space monotonically (a
 leave keeps its id slot), so the n×n matrices only ever grow.
@@ -70,10 +61,10 @@ import numpy as np
 
 from .. import obs
 from ..errors import NodeNotFound, ParameterError
-from ..graph import Graph, batched_bfs
-from ..routing.tables import _FAR, project_table_row
+from ..graph import Graph
 from .events import ADD, LEAVE, EdgeEvent, NodeEvent
 from .maintainer import SpannerMaintainer
+from .tablecore import TableCore
 
 __all__ = ["RoutingService", "ServeDelta", "ServeReport", "MemoryStats"]
 
@@ -135,7 +126,7 @@ class MemoryStats:
         return self.dist_bytes + self.table_bytes
 
 
-class RoutingService:
+class RoutingService(TableCore):
     """Serve next-hop routing tables that stay exact under churn.
 
     Parameters mirror :class:`~repro.dynamic.maintainer.SpannerMaintainer`
@@ -149,6 +140,9 @@ class RoutingService:
     dict shape :func:`~repro.routing.tables.routing_table` returns.
     """
 
+    _obs_prefix = "serve"
+    _span_prefix = "serving"
+
     def __init__(
         self,
         g: Graph,
@@ -159,21 +153,16 @@ class RoutingService:
         r: "int | None" = None,
         rebuild_fraction: float = 0.25,
     ) -> None:
+        super().__init__()
         self._ctor = dict(method=method, k=k, epsilon=epsilon, r=r)
         self.maintainer = SpannerMaintainer(
             g, method, k=k, epsilon=epsilon, r=r, rebuild_fraction=rebuild_fraction
         )
         self.events_applied = 0
-        self.rows_recomputed = 0
-        self.tables_recomputed = 0
-        self.entries_updated = 0
-        self.full_refreshes = 0
         self.compactions = 0
         self._subscribers: "list" = []
         self.feed_seq = 0  # seq of the latest published ServeDelta
         self._mem_cache: "tuple | None" = None  # (graph, version, MemoryStats)
-        self._dist = np.empty((0, 0), dtype=np.int32)
-        self._tables = np.empty((0, 0), dtype=np.int32)
         self.refresh()
         # Counters measure *serving* work: zero out the initial population.
         self.rows_recomputed = 0
@@ -417,23 +406,6 @@ class RoutingService:
             reports.append(replace(report, wall_seconds=sp.seconds))
         return reports
 
-    def refresh(self) -> None:
-        """Recompute every distance row and table from scratch (fallback).
-
-        Re-projects in place so ``entries_updated`` keeps counting only
-        cells whose next hop actually changed, refresh or not.
-        """
-        n = self.maintainer.graph.num_nodes
-        self._resize_matrices(n)
-        with obs.span("serving.recompute_rows"):
-            self._recompute_rows(range(n), track=False)
-        with obs.span("serving.project_tables"):
-            self._project_tables({u: None for u in range(n)})
-        obs.inc("serve.full_refreshes")
-        self.full_refreshes += 1
-        self.rows_recomputed += n
-        self.tables_recomputed += n
-
     def compact(self) -> "dict[int, int]":
         """Renumber live ids densely, dropping dormant (degree-0) slots.
 
@@ -474,64 +446,6 @@ class RoutingService:
         return mapping
 
     # ------------------------------------------------------------------ #
-    # overridable stages (the sharded service swaps these)
-    # ------------------------------------------------------------------ #
-
-    def _resize_matrices(self, n: int) -> None:
-        """Bring D and T to shape ``(n, n)``, keeping overlapping content
-        and padding fresh cells with −1 (new ids are unreachable until
-        their rows are recomputed)."""
-        old = self._dist.shape[0]
-        if n == old:
-            return
-        k = min(old, n)
-        dist = np.full((n, n), -1, dtype=np.int32)
-        dist[:k, :k] = self._dist[:k, :k]
-        self._dist = dist
-        tables = np.full((n, n), -1, dtype=np.int32)
-        tables[:k, :k] = self._tables[:k, :k]
-        self._tables = tables
-
-    def _recompute_rows(self, order: Iterable[int], track: bool = True) -> "dict[int, np.ndarray]":
-        """BFS-recompute the given D rows on the freshly frozen H.
-
-        Returns ``{row: changed-destination mask}`` for rows that actually
-        moved (empty when *track* is false — the refresh path needs no
-        damage propagation).
-        """
-        order = list(order)
-        if not order:
-            return {}
-        obs.inc("serve.rows_recomputed", len(order))
-        h = self.advertised.freeze()
-        changed: "dict[int, np.ndarray]" = {}
-        for s, new_row in batched_bfs(h, order, arrays=True):
-            if track:
-                mask = new_row != self._dist[s]
-                if mask.any():
-                    changed[s] = mask
-            self._dist[s] = new_row
-        return changed
-
-    def _project_tables(self, damage: "dict[int, np.ndarray | None]") -> int:
-        """Re-argmin the damaged table rows (``None`` mask = all columns).
-
-        Returns how many tables were actually touched; adds every changed
-        cell to ``entries_updated``.
-        """
-        g = self.maintainer.graph
-        touched = 0
-        for u, mask in damage.items():
-            cols = None if mask is None else np.flatnonzero(mask)
-            if cols is not None and cols.size == 0:
-                continue
-            nbrs = sorted(g.neighbors(u))
-            self.entries_updated += project_table_row(self._dist, self._tables, nbrs, u, cols)
-            touched += 1
-        obs.inc("serve.tables_reprojected", touched)
-        return touched
-
-    # ------------------------------------------------------------------ #
     # incremental machinery
     # ------------------------------------------------------------------ #
 
@@ -547,101 +461,3 @@ class RoutingService:
                 return {event.node, *self.maintainer.graph.neighbors(event.node)}
             return set()  # a joined node is covered as a fresh row/table
         return {event.u, event.v}
-
-    def _ingest(
-        self,
-        h_added: "tuple[tuple[int, int], ...]",
-        h_removed: "tuple[tuple[int, int], ...]",
-        star_changed: set[int],
-        rebuilt: bool,
-    ) -> "tuple[bool, int, int, int]":
-        """Fold one repair's deltas into the matrices.
-
-        Returns ``(refreshed, dirty_rows, dirty_tables, entries_updated)``.
-        """
-        g = self.maintainer.graph
-        n = g.num_nodes
-        old_dim = self._dist.shape[0]
-        if n != old_dim:  # node churn grew the id space: pad with -1
-            self._resize_matrices(n)
-        if rebuilt:  # global churn: the maintainer rebuilt, so do we
-            before = self.entries_updated
-            self.refresh()
-            return True, n, n, self.entries_updated - before
-        new_nodes = range(old_dim, n)
-        dirty_rows = self._dirty_rows(h_added, h_removed)
-        dirty_rows.update(new_nodes)
-        if dirty_rows:
-            with obs.span("serving.recompute_rows"):
-                changed_cols = self._recompute_rows(sorted(dirty_rows))
-        else:
-            changed_cols = {}
-        self.rows_recomputed += len(dirty_rows)
-        # A table moves only if its argmin inputs did: a neighbor's row
-        # changed, or its own G-star changed (None mask = all destinations).
-        damage: "dict[int, np.ndarray | None]" = {u: None for u in star_changed}
-        for v in new_nodes:
-            damage[v] = None
-        for w, mask in changed_cols.items():
-            for u in g.neighbors(w):
-                current = damage.get(u, False)
-                if current is None:
-                    continue
-                if current is False:
-                    damage[u] = mask.copy()
-                else:
-                    current |= mask
-        entries_before = self.entries_updated
-        with obs.span("serving.project_tables"):
-            tables_touched = self._project_tables(damage)
-        self.tables_recomputed += tables_touched
-        return False, len(dirty_rows), tables_touched, self.entries_updated - entries_before
-
-    def _dirty_rows(
-        self,
-        h_added: "tuple[tuple[int, int], ...]",
-        h_removed: "tuple[tuple[int, int], ...]",
-    ) -> set[int]:
-        """Sources whose H-BFS row may have changed, from the old matrix.
-
-        Certified complement — a row failing every test below kept all its
-        distances.  Inserted edges shrink row *w* only when they shortcut
-        it (``|D[w,x] − D[w,y]| > 1`` with unreachable = ∞).  A removed
-        edge stretches row *w* only when it was *tight*
-        (``D[w,x] + 1 = D[w,y]``) **and** the farther endpoint has no
-        surviving equally-tight parent: any shortest path that crossed
-        ``xy`` reroutes through an alternative parent ``z`` with
-        ``D[w,z] + 1 = D[w,y]`` and ``zy`` still in H, level by level, so
-        the whole row is preserved (the alternative-parent induction of
-        dynamic SSSP).  The joint evaluation on the *old* matrix is exact:
-        rows passing the deletion tests keep their distances through all
-        deletions, making the insertion test's baseline valid.
-        """
-        d = self._dist
-        n = d.shape[0]
-        if n == 0 or (not h_added and not h_removed):
-            return set()
-        h = self.advertised  # post-repair H: alternatives must survive
-        dirty = np.zeros(n, dtype=bool)
-        for x, y in h_removed:
-            dx = d[:, x].astype(np.int64)
-            dy = d[:, y].astype(np.int64)
-            for near, far, far_node in ((dx, dy, y), (dy, dx, x)):
-                tight = (near >= 0) & (near + 1 == far)
-                if not tight.any():
-                    continue
-                alts = sorted(h.neighbors(far_node))
-                if alts:
-                    block = d[:, alts].astype(np.int64)
-                    rescued = ((block >= 0) & (block + 1 == far[:, None])).any(axis=1)
-                    tight &= ~rescued
-                dirty |= tight
-            # Defensive: mixed reachability should be impossible for an old
-            # H edge; treat it as dirty rather than provably clean.
-            dirty |= (dx < 0) != (dy < 0)
-        for x, y in h_added:
-            dx = np.where(d[:, x] < 0, _FAR, d[:, x]).astype(np.int64)
-            dy = np.where(d[:, y] < 0, _FAR, d[:, y]).astype(np.int64)
-            # The new edge shortcuts w's view of one endpoint → row shrinks.
-            dirty |= np.abs(dx - dy) > 1
-        return {int(w) for w in np.flatnonzero(dirty)}

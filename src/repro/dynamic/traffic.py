@@ -128,7 +128,8 @@ route_served` accepts (a :class:`~repro.dynamic.serving.RoutingService`,
     a :class:`~repro.parallel.sharded.RouteReader`, ...).  When
     observability is on, each request feeds the ``traffic.request.us``
     latency and ``traffic.hops`` histograms (plus a
-    ``traffic.unroutable`` counter); with ``REPRO_OBS=off`` the loop is
+    ``traffic.unroutable`` counter), buffered per batch and binned in bulk
+    at its end; with ``REPRO_OBS=off`` the loop is
     the bare serving loop — this shared helper is what the overhead
     benchmark measures.  ``hop_fallback`` is forwarded to
     :func:`~repro.routing.greedy_routing.route_served` (the chaos soak
@@ -138,25 +139,30 @@ route_served` accepts (a :class:`~repro.dynamic.serving.RoutingService`,
     from ..routing.greedy_routing import route_served
 
     on = obs.enabled()
-    registry = obs.metrics()
     served = delivered = hops_total = 0
+    latencies: "list[float]" = []  # binned once, after the batch
+    hops: "list[int]" = []
     sw_batch = obs.Stopwatch()
     sw = obs.Stopwatch()
     for s, t in queries:
         if on:
             sw.restart()
         res = route_served(endpoint, s, t, hop_fallback=hop_fallback)
+        if on:
+            latencies.append(sw.elapsed() * 1e6)
         served += 1
         if res.delivered:
+            hop_count = res.hops
             delivered += 1
-            hops_total += res.hops
+            hops_total += hop_count
             if on:
-                registry.observe("traffic.request.us", sw.elapsed() * 1e6)
-                registry.observe("traffic.hops", res.hops, HOP_BOUNDS)
-        elif on:
-            registry.observe("traffic.request.us", sw.elapsed() * 1e6)
-            registry.inc("traffic.unroutable")
+                hops.append(hop_count)
     if on:
+        registry = obs.metrics()
+        registry.observe_many("traffic.request.us", latencies)
+        registry.observe_many("traffic.hops", hops, HOP_BOUNDS)
+        if served > delivered:
+            registry.inc("traffic.unroutable", served - delivered)
         registry.inc("traffic.requests", served)
     return QueryBatchReport(served, delivered, hops_total, sw_batch.elapsed())
 

@@ -7,7 +7,8 @@ Design constraints, in order:
   W worker processes is pure element-wise addition — the merged histogram
   is bit-identical to the one a single process would have recorded.
 * **Cheap enough to leave on.** A counter increment is one dict lookup
-  and one float add; a histogram observation adds a ``bisect``.  The
+  and one float add; a histogram observation adds a ``bisect``.  Hot
+  loops buffer samples and bin them per batch with ``observe_many``.  The
   gating that makes ``REPRO_OBS=off`` near-free lives in
   :mod:`repro.obs` (the package façade), not here — registry methods are
   unconditional so that always-on consumers (``SimStats``) keep counting
@@ -18,7 +19,9 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from functools import reduce
+from operator import add
 from typing import Iterable, Sequence
 
 from ..errors import ParameterError
@@ -107,6 +110,32 @@ class Histogram:
         if self.vmax is None or value > self.vmax:
             self.vmax = value
 
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record *values*: the same state as :meth:`observe` on each in turn.
+
+        Bins in bulk — one sort, then one bisect per bucket boundary — so
+        a hot loop can buffer its samples and pay for binning once per
+        batch.  ``total`` is summed in the given order, as the per-sample
+        path would.
+        """
+        if not values:
+            return
+        ordered = sorted(values)
+        counts = self.counts
+        seen = 0
+        for i, bound in enumerate(self.bounds):
+            upto = bisect_right(ordered, bound, seen)
+            counts[i] += upto - seen
+            seen = upto
+        counts[-1] += len(ordered) - seen
+        self.count += len(ordered)
+        self.total = reduce(add, map(float, values), self.total)
+        lo, hi = float(ordered[0]), float(ordered[-1])
+        if self.vmin is None or lo < self.vmin:
+            self.vmin = lo
+        if self.vmax is None or hi > self.vmax:
+            self.vmax = hi
+
     def snapshot(self) -> dict:
         return {
             "bounds": list(self.bounds),
@@ -148,6 +177,17 @@ class MetricsRegistry:
         if hist is None:
             hist = self._histograms[name] = Histogram(TIME_BOUNDS_US if bounds is None else bounds)
         hist.observe(value)
+
+    def observe_many(
+        self, name: str, values: Sequence[float], bounds: Sequence[float] | None = None
+    ) -> None:
+        """Record a buffered batch into histogram ``name`` (see :meth:`observe`)."""
+        if not values:
+            return
+        hist = self._histograms.get(name)
+        if hist is None:
+            hist = self._histograms[name] = Histogram(TIME_BOUNDS_US if bounds is None else bounds)
+        hist.observe_many(values)
 
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0)

@@ -43,6 +43,35 @@ class TestRegistry:
         assert snap["sum"] == pytest.approx(106.0)
         assert snap["min"] == 0.5 and snap["max"] == 100.0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_observe_many_equals_observing_each(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        bounds = TIME_BOUNDS_US if seed % 2 else COUNT_BOUNDS
+        one, bulk = Histogram(bounds), Histogram(bounds)
+        for batch in range(4):
+            values = [rng.choice(bounds) for _ in range(5)]  # exactly on a boundary
+            values += [rng.uniform(-1.0, 2 * bounds[-1]) for _ in range(40)]
+            values += [rng.randrange(0, 70) for _ in range(10)]  # ints, as hop counts
+            rng.shuffle(values)
+            for v in values:
+                one.observe(v)
+            bulk.observe_many(values)
+            assert bulk.snapshot() == one.snapshot()  # bit-for-bit, sum included
+        bulk.observe_many([])
+        assert bulk.snapshot() == one.snapshot()
+
+    def test_registry_observe_many_creates_with_bounds_once(self):
+        reg = MetricsRegistry()
+        reg.observe_many("h", [])
+        assert reg.histogram("h") is None  # nothing observed, nothing created
+        reg.observe_many("h", [3, 9], COUNT_BOUNDS)
+        reg.observe_many("h", [5.0], (100.0, 200.0))  # ignored: histogram exists
+        hist = reg.histogram("h")
+        assert hist.bounds == COUNT_BOUNDS
+        assert hist.count == 3 and hist.vmin == 3.0 and hist.vmax == 9.0
+
     def test_histogram_rejects_bad_bounds(self):
         with pytest.raises(ParameterError):
             Histogram(bounds=())
